@@ -108,7 +108,6 @@ CampaignReport CampaignEngine::run() {
     report.base_seed = config_.base_seed;
     report.scenarios = config_.scenarios;
     report.programs = gen.programs();
-    report.engine = dataplane::engine_name(config_.engine);
     for (const auto& d : duts) report.backends.push_back(d.label);
     report.coverage_enabled = config_.coverage;
     report.concolic_enabled = config_.concolic;
@@ -152,7 +151,7 @@ CampaignReport CampaignEngine::run() {
                 try {
                     if (!contexts[slot]) {
                         contexts[slot] = std::make_unique<WorkerContext>(
-                            config_.reference_backend, duts, config_.engine);
+                            config_.reference_backend, duts);
                     }
                     while (!failed.load(std::memory_order_relaxed)) {
                         const std::uint64_t index = next.fetch_add(1);
@@ -277,11 +276,10 @@ CampaignReport CampaignEngine::run() {
             ConcolicRecipe recipe;
         };
         std::vector<PendingSeed> pending;
-        // Relight oracle: a dedicated reference instance pinned to the
-        // interpreter (the engine whose semantics the verify layer models).
-        // Its salt is what EdgeIndex must be built with -- the campaign's
-        // own reference devices fold the identical salt into their maps, so
-        // "dark in `global`" and "dark for this oracle" agree.
+        // Relight oracle: a dedicated reference instance.  Its salt is what
+        // EdgeIndex must be built with -- the campaign's own reference
+        // devices fold the identical salt into their maps, so "dark in
+        // `global`" and "dark for this oracle" agree.
         std::unique_ptr<target::Device> oracle;
         std::uint64_t ref_salt = 0;
         if (config_.concolic) {
@@ -291,7 +289,6 @@ CampaignReport CampaignEngine::run() {
                     "campaign: unknown reference backend '" +
                     config_.reference_backend + "'");
             }
-            oracle->set_engine(dataplane::Engine::interpreter);
             ref_salt = oracle->coverage_salt();
         }
         const std::uint64_t round_cap =
@@ -563,9 +560,6 @@ std::string CampaignReport::to_string() const {
         static_cast<unsigned long long>(packets_injected),
         static_cast<unsigned long long>(findings_total), divergences.size(),
         dedup_ratio());
-    if (!engine.empty()) {
-        s += util::format("  engine: %s\n", engine.c_str());
-    }
     if (coverage_enabled) {
         std::uint64_t dut_total = 0;
         for (const auto e : coverage_edges_dut) dut_total += e;
@@ -652,7 +646,6 @@ std::string CampaignReport::to_json() const {
                       static_cast<unsigned long long>(scenarios));
     s += "  \"programs\": " + json_string_array(programs) + ",\n";
     s += "  \"backends\": " + json_string_array(backends) + ",\n";
-    s += "  \"engine\": \"" + json_escape(engine) + "\",\n";
     s += util::format("  \"packets_injected\": %llu,\n",
                       static_cast<unsigned long long>(packets_injected));
     s += util::format("  \"findings_total\": %llu,\n",

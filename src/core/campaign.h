@@ -44,7 +44,6 @@
 
 #include "core/localize.h"
 #include "core/specgen.h"
-#include "dataplane/engine.h"
 #include "dataplane/quirks.h"
 
 namespace ndb::coverage {
@@ -74,11 +73,6 @@ struct CampaignConfig {
     std::string reference_backend = "reference";
     bool localize = true;  // replay divergences through FaultLocalizer
     bool minimize = true;  // reduce to the shortest reproducing prefix
-
-    // Execution engine applied to every device (reference and DUTs).  The
-    // report is byte-identical across engines apart from its provenance
-    // field; the compiled engine is simply faster.
-    dataplane::Engine engine = dataplane::default_engine();
 
     // Coverage-guided adaptive seed scheduling (see file header).  Off by
     // default: the uniform sweep remains the corpus-replay contract.
@@ -214,7 +208,6 @@ struct CampaignReport {
     std::uint64_t scenarios = 0;
     std::vector<std::string> programs;
     std::vector<std::string> backends;        // labels, sweep order
-    std::string engine;                       // execution engine (provenance)
     std::uint64_t packets_injected = 0;       // every inject() the engine issued
     std::uint64_t findings_total = 0;         // divergent scenarios before dedup
     std::vector<DivergenceRecord> divergences;  // deduplicated, discovery order

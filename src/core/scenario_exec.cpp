@@ -35,20 +35,18 @@ std::uint64_t derive_mgmt_seed(const MgmtLink& base, const Scenario& sc,
 
 WorkerContext::WorkerContext(const std::string& reference_backend,
                              const std::vector<BackendSpec>& specs,
-                             dataplane::Engine engine) {
+                             dataplane::Engine /*engine*/) {
     reference = target::make_device(reference_backend);
     if (!reference) {
         throw std::invalid_argument("campaign: unknown reference backend '" +
                                     reference_backend + "'");
     }
-    reference->set_engine(engine);
     for (const auto& spec : specs) {
         auto dev = target::make_device(spec.name, spec.quirks);
         if (!dev) {
             throw std::invalid_argument("campaign: unknown backend '" +
                                         spec.name + "'");
         }
-        dev->set_engine(engine);
         duts.push_back(std::move(dev));
     }
 }

@@ -74,7 +74,7 @@ EdgeIndex::EdgeIndex(const p4::ir::Program& prog, std::uint64_t device_salt)
     }
     for (const auto& action : prog.actions) add(Site::action, action.id, 0);
 
-    // Branch ordinals from the same walk both engines instrument with.
+    // Branch ordinals from the same walk the interpreter instruments with.
     const auto branch_ids = p4::ir::number_branches(prog);
     std::vector<std::uint32_t> ordinals;
     ordinals.reserve(branch_ids.size());

@@ -1,35 +1,22 @@
-// Execution-engine selection for the data plane.
+// Execution-engine provenance for the data plane.
 //
-// Two engines execute the same IR behind the Pipeline interface:
-//
-//   * Engine::interpreter -- the tree-walking Interpreter, the trusted
-//     semantic oracle every fast path is differentially tested against;
-//   * Engine::compiled    -- the threaded-code CompiledPipeline (the
-//     production default), a per-program specialization of the IR into a
-//     flat instruction stream (src/dataplane/compile.h).
-//
-// The process-wide default is overridable with NDB_ENGINE=interp|compiled,
-// which is how CI sweeps the whole test suite under both engines without
-// per-test plumbing.
+// The tree-walking Interpreter is the only executor: it is both the
+// production path and the trusted semantic reference that target devices
+// are differentially tested against.
 #pragma once
-
-#include <optional>
-#include <string_view>
 
 namespace ndb::dataplane {
 
+// Kept only for perfbench/, which names the engine in its provenance line
+// and forwards it through its timing device wrapper.
 enum class Engine {
     interpreter = 0,
-    compiled = 1,
 };
 
-const char* engine_name(Engine engine);
+// Kept only for perfbench/src/main.cpp's provenance line.
+constexpr const char* engine_name(Engine /*engine*/) { return "interpreter"; }
 
-// Parses "interp"/"interpreter"/"compiled"; nullopt on anything else.
-std::optional<Engine> engine_from_name(std::string_view name);
-
-// The process default: NDB_ENGINE when set to a valid name (read once),
-// otherwise Engine::compiled.
-Engine default_engine();
+// Kept only for perfbench/ callers; there is no other engine to select.
+constexpr Engine default_engine() { return Engine::interpreter; }
 
 }  // namespace ndb::dataplane

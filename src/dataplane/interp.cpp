@@ -11,6 +11,68 @@ using p4::ir::Expr;
 using p4::ir::Program;
 using p4::ir::Stmt;
 
+namespace {
+
+// Re-initializes a pooled frame's local slots to zeroes of the declared
+// widths, reusing storage when the widths already line up.
+void reset_frame_locals(Frame& frame, std::span<const int> widths) {
+    frame.locals.resize(widths.size());
+    for (std::size_t i = 0; i < widths.size(); ++i) {
+        if (frame.locals[i].width() == widths[i]) {
+            frame.locals[i].zero();
+        } else {
+            frame.locals[i] = Bitvec(widths[i]);
+        }
+    }
+}
+
+// IPv4-style checksum recompute: serialize `header` with the checksum field
+// forced to zero, RFC-1071 sum the byte image (streamed through
+// `bytes_scratch`), store into the checksum field.
+void checksum_update_field(const Program& prog, PacketState& state, int header,
+                           int checksum_field,
+                           std::vector<std::uint8_t>& bytes_scratch) {
+    const auto& hdr = prog.headers.at(static_cast<std::size_t>(header));
+    const auto& inst = state.headers.at(static_cast<std::size_t>(header));
+    // Serialize the header with the checksum field forced to zero, then take
+    // the RFC 1071 checksum of the byte image.  The image is streamed
+    // MSB-first into the byte scratch instead of built from O(fields^2)
+    // Bitvec concatenations.
+    bytes_scratch.assign(static_cast<std::size_t>((hdr.size_bits + 7) / 8), 0);
+    std::size_t bitpos = 0;  // wire position, MSB-first
+    for (std::size_t f = 0; f < hdr.fields.size(); ++f) {
+        const int w = hdr.fields[f].width;
+        if (static_cast<int>(f) == checksum_field) {
+            bitpos += static_cast<std::size_t>(w);  // scratch is pre-zeroed
+            continue;
+        }
+        const Bitvec& v = inst.fields[f];
+        // Deposit in <=32-bit chunks, high bits of the field first; the
+        // buffer is pre-zeroed, so OR-ing whole covering bytes suffices.
+        int remaining = w;
+        while (remaining > 0) {
+            const int chunk = std::min(remaining, 32);
+            const std::uint64_t bits =
+                v.slice(remaining - 1, remaining - chunk).to_u64();
+            const std::size_t end = bitpos + static_cast<std::size_t>(chunk);
+            const std::size_t first = bitpos / 8;
+            const std::size_t last = (end + 7) / 8;  // exclusive
+            std::uint64_t acc = bits << (8 * last - end);
+            for (std::size_t i = last; i-- > first;) {
+                bytes_scratch[i] |= static_cast<std::uint8_t>(acc);
+                acc >>= 8;
+            }
+            bitpos = end;
+            remaining -= chunk;
+        }
+    }
+    const std::uint16_t csum = packet::internet_checksum(bytes_scratch);
+    const int w = hdr.fields[static_cast<std::size_t>(checksum_field)].width;
+    state.set({header, checksum_field}, Bitvec(16, csum).resize(w));
+}
+
+}  // namespace
+
 Bitvec eval_expr(const Program& prog, const Expr& e, const PacketState& state,
                  const Frame& frame, const Quirks& quirks) {
     switch (e.kind) {
@@ -100,17 +162,6 @@ Bitvec eval_expr(const Program& prog, const Expr& e, const PacketState& state,
 Interpreter::Interpreter(const Program& prog, TableSet& tables, StatefulSet& stateful,
                          Quirks quirks)
     : prog_(prog), tables_(tables), stateful_(stateful), quirks_(quirks) {}
-
-void reset_frame_locals(Frame& frame, std::span<const int> widths) {
-    frame.locals.resize(widths.size());
-    for (std::size_t i = 0; i < widths.size(); ++i) {
-        if (frame.locals[i].width() == widths[i]) {
-            frame.locals[i].zero();
-        } else {
-            frame.locals[i] = Bitvec(widths[i]);
-        }
-    }
-}
 
 void Interpreter::set_coverage(coverage::CoverageMap* map, std::uint64_t salt) {
     coverage_ = map;
@@ -310,48 +361,6 @@ void Interpreter::exec_extern(const Stmt& s, PacketState& state, Frame& frame) {
         case p4::ir::ExternKind::none:
             return;
     }
-}
-
-void checksum_update_field(const Program& prog, PacketState& state, int header,
-                           int checksum_field,
-                           std::vector<std::uint8_t>& bytes_scratch) {
-    const auto& hdr = prog.headers.at(static_cast<std::size_t>(header));
-    const auto& inst = state.headers.at(static_cast<std::size_t>(header));
-    // Serialize the header with the checksum field forced to zero, then take
-    // the RFC 1071 checksum of the byte image.  The image is streamed
-    // MSB-first into the byte scratch instead of built from O(fields^2)
-    // Bitvec concatenations.
-    bytes_scratch.assign(static_cast<std::size_t>((hdr.size_bits + 7) / 8), 0);
-    std::size_t bitpos = 0;  // wire position, MSB-first
-    for (std::size_t f = 0; f < hdr.fields.size(); ++f) {
-        const int w = hdr.fields[f].width;
-        if (static_cast<int>(f) == checksum_field) {
-            bitpos += static_cast<std::size_t>(w);  // scratch is pre-zeroed
-            continue;
-        }
-        const Bitvec& v = inst.fields[f];
-        // Deposit in <=32-bit chunks, high bits of the field first; the
-        // buffer is pre-zeroed, so OR-ing whole covering bytes suffices.
-        int remaining = w;
-        while (remaining > 0) {
-            const int chunk = std::min(remaining, 32);
-            const std::uint64_t bits =
-                v.slice(remaining - 1, remaining - chunk).to_u64();
-            const std::size_t end = bitpos + static_cast<std::size_t>(chunk);
-            const std::size_t first = bitpos / 8;
-            const std::size_t last = (end + 7) / 8;  // exclusive
-            std::uint64_t acc = bits << (8 * last - end);
-            for (std::size_t i = last; i-- > first;) {
-                bytes_scratch[i] |= static_cast<std::uint8_t>(acc);
-                acc >>= 8;
-            }
-            bitpos = end;
-            remaining -= chunk;
-        }
-    }
-    const std::uint16_t csum = packet::internet_checksum(bytes_scratch);
-    const int w = hdr.fields[static_cast<std::size_t>(checksum_field)].width;
-    state.set({header, checksum_field}, Bitvec(16, csum).resize(w));
 }
 
 }  // namespace ndb::dataplane

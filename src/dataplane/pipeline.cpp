@@ -1,7 +1,6 @@
 #include "dataplane/pipeline.h"
 
 #include "coverage/coverage.h"
-#include "dataplane/compile.h"
 #include "dataplane/deparser.h"
 #include "obs/metrics.h"
 
@@ -86,36 +85,17 @@ bool program_reads_timestamp(const p4::ir::Program& prog) {
 Pipeline::Pipeline(const p4::ir::Program& prog, TableSet& tables,
                    StatefulSet& stateful, PipelineOptions options)
     : prog_(prog),
-      tables_(tables),
-      stateful_(stateful),
       options_(options),
       parser_(prog, options.quirks),
       interp_(prog, tables, stateful, options.quirks) {
     quirk_expiry_clock_ =
         options_.quirks.expiry_off_by_one && program_reads_timestamp(prog_);
-    if (options_.engine == Engine::compiled) {
-        compiled_ = std::make_unique<CompiledPipeline>(prog_, tables_, stateful_,
-                                                       options_.quirks);
-    }
-}
-
-Pipeline::~Pipeline() = default;
-
-void Pipeline::set_engine(Engine engine) {
-    options_.engine = engine;
-    if (engine == Engine::compiled && !compiled_) {
-        compiled_ = std::make_unique<CompiledPipeline>(prog_, tables_, stateful_,
-                                                       options_.quirks);
-        compiled_->set_coverage(coverage_, cov_salt_);
-    }
 }
 
 void Pipeline::set_coverage(coverage::CoverageMap* map, std::uint64_t salt) {
     coverage_ = map;
-    cov_salt_ = salt;
     parser_.set_coverage(map, salt);
     interp_.set_coverage(map, salt);
-    if (compiled_) compiled_->set_coverage(map, salt);
 }
 
 PipelineResult Pipeline::process(const packet::Packet& in) {
@@ -127,7 +107,6 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
     // calls stay inside the bench overhead gate.  Whole-packet latency is
     // recorded by the guard below on every exit path, early returns
     // included.
-    const bool obs_engine = options_.engine == Engine::compiled;
     bool timed = false;
     std::uint64_t t_mark = 0;
     if (obs::metrics_on()) {
@@ -145,7 +124,7 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
         ~PacketTimer() {
             if (on) obs::record(hist, obs::now_ns() - t0);
         }
-    } packet_timer{timed, t_mark, obs::pipeline_hist(3, obs_engine)};
+    } packet_timer{timed, t_mark, obs::Hist::packet_ns};
 
     state_.ensure_shape(prog_);
     state_.reset(prog_, in.meta, static_cast<std::uint32_t>(in.size()),
@@ -153,20 +132,17 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
     if (quirk_expiry_clock_) {
         // expiry_off_by_one quirk: the aging clock latch loses its low
         // microsecond bit, so stored last-seen stamps and timeout deltas sit
-        // one off the reference near the expiry boundary.  One site covers
-        // both engines: the stages read whatever f_timestamp holds.
+        // one off the reference near the expiry boundary.  Every stage
+        // reads whatever f_timestamp holds.
         state_.set(prog_.f_timestamp,
                    util::Bitvec(48, (in.meta.rx_time_ns / 1000) & ~1ull));
     }
     PacketState& state = state_;
 
-    CompiledPipeline* const compiled =
-        options_.engine == Engine::compiled ? compiled_.get() : nullptr;
-    const ParserVerdict verdict =
-        compiled ? compiled->run_parser(in, state) : parser_.run(in, state);
+    const ParserVerdict verdict = parser_.run(in, state);
     if (timed) {
         const std::uint64_t t = obs::now_ns();
-        obs::record(obs::pipeline_hist(0, obs_engine), t - t_mark);
+        obs::record(obs::Hist::parse_ns, t - t_mark);
         t_mark = t;
     }
     result.parser_verdict = verdict;
@@ -201,16 +177,8 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
         }
     }
 
-    const auto applies = [&]() -> const std::vector<TableApply>& {
-        return compiled ? compiled->applies() : interp_.applies();
-    };
-    if (compiled) {
-        compiled->clear_applies();
-        compiled->run_ingress(state);
-    } else {
-        interp_.clear_applies();
-        interp_.run_control(prog_.ingress, state);
-    }
+    interp_.clear_applies();
+    interp_.run_control(prog_.ingress, state);
     if (options_.capture_taps) result.tap_after_ingress = state;
     if (options_.capture_digests) {
         result.stage_hash[1] = hash_packet_state(prog_, state);
@@ -218,7 +186,7 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
     if (state.drop_flagged(prog_)) {
         ++counters_.ingress_dropped;
         result.disposition = Disposition::dropped_ingress;
-        result.applies = applies();
+        result.applies = interp_.applies();
         result.cycles = state.cycles;
         return result;
     }
@@ -228,7 +196,7 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
             result.silent_drop = true;
             result.silent_drop_stage = Stage::ingress;
             result.disposition = Disposition::dropped_ingress;
-            result.applies = applies();
+            result.applies = interp_.applies();
             result.cycles = state.cycles;
             return result;
         }
@@ -240,11 +208,7 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
 
     if (prog_.egress) {
         state.exited = false;
-        if (compiled) {
-            compiled->run_egress(state);
-        } else {
-            interp_.run_control(*prog_.egress, state);
-        }
+        interp_.run_control(*prog_.egress, state);
         if (options_.capture_taps) result.tap_after_egress = state;
         if (options_.capture_digests) {
             result.stage_hash[2] = hash_packet_state(prog_, state);
@@ -252,7 +216,7 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
         if (state.drop_flagged(prog_)) {
             ++counters_.egress_dropped;
             result.disposition = Disposition::dropped_egress;
-            result.applies = applies();
+            result.applies = interp_.applies();
             result.cycles = state.cycles;
             return result;
         }
@@ -263,7 +227,7 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
             result.silent_drop = true;
             result.silent_drop_stage = Stage::egress;
             result.disposition = Disposition::dropped_egress;
-            result.applies = applies();
+            result.applies = interp_.applies();
             result.cycles = state.cycles;
             return result;
         }
@@ -274,17 +238,17 @@ PipelineResult Pipeline::process(const packet::Packet& in) {
     // match-action time into the whole-packet histogram only.
     if (timed) {
         const std::uint64_t t = obs::now_ns();
-        obs::record(obs::pipeline_hist(1, obs_engine), t - t_mark);
+        obs::record(obs::Hist::match_action_ns, t - t_mark);
         t_mark = t;
     }
-    result.output = compiled ? compiled->deparse(state) : deparse(prog_, state);
+    result.output = deparse(prog_, state);
     if (timed) {
-        obs::record(obs::pipeline_hist(2, obs_engine), obs::now_ns() - t_mark);
+        obs::record(obs::Hist::deparse_ns, obs::now_ns() - t_mark);
     }
     result.output.meta.egress_port = static_cast<std::uint32_t>(port);
     result.egress_port = static_cast<std::uint32_t>(port);
     result.disposition = Disposition::forwarded;
-    result.applies = applies();
+    result.applies = interp_.applies();
     result.cycles = state.cycles + 1;  // deparser cycle
     ++counters_.forwarded;
     return result;

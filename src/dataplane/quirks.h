@@ -1,7 +1,8 @@
 // Vendor-backend behaviour deviations ("quirks").
 //
 // A Quirks value travels with a compiled device image and tells the
-// execution engines how the modeled target diverges from P4 semantics.
+// parser engine and interpreter how the modeled target diverges from P4
+// semantics.
 // The reference target uses the all-defaults value; the SDNet-like target
 // injects the bug catalogue here.  The headline entry is
 // `reject_as_accept`: the paper's discovery that SDNet does not implement

@@ -2,7 +2,7 @@
 //
 // One program's extern instances live in a single dense vector indexed by
 // extern id; each slot is typed by its ExternDecl kind.  The accessors
-// below are the only state surface the execution engines and the control
+// below are the only state surface the interpreter and the control
 // plane touch, so a snapshot of `info()` plus `reset_state()` fully
 // captures and clears a device's per-flow state.
 #pragma once

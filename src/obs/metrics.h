@@ -72,16 +72,11 @@ inline constexpr std::size_t kNumGauges = static_cast<std::size_t>(Gauge::count_
 const char* gauge_name(Gauge g);
 
 enum class Hist : std::uint32_t {
-    // Per-stage pipeline latency, one block per execution engine.  Keep the
-    // two blocks parallel: pipeline_hist() below indexes across them.
-    parse_ns_interp = 0,
-    match_action_ns_interp,
-    deparse_ns_interp,
-    packet_ns_interp,
-    parse_ns_compiled,
-    match_action_ns_compiled,
-    deparse_ns_compiled,
-    packet_ns_compiled,
+    // Per-stage pipeline latency.
+    parse_ns = 0,
+    match_action_ns,
+    deparse_ns,
+    packet_ns,
     lookup_ns_exact,
     lookup_ns_lpm,
     lookup_ns_ternary,
@@ -91,13 +86,6 @@ enum class Hist : std::uint32_t {
 };
 inline constexpr std::size_t kNumHists = static_cast<std::size_t>(Hist::count_);
 const char* hist_name(Hist h);
-
-// Stage index within an engine block: 0=parse 1=match-action 2=deparse
-// 3=whole packet.
-inline Hist pipeline_hist(int stage, bool compiled_engine) {
-    return static_cast<Hist>(static_cast<int>(Hist::parse_ns_interp) +
-                             (compiled_engine ? 4 : 0) + stage);
-}
 
 // --- log2 histogram math ------------------------------------------------------
 

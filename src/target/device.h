@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "control/runtime.h"
+#include "dataplane/engine.h"
 #include "dataplane/pipeline.h"
 #include "dataplane/quirks.h"
 #include "p4/ir.h"
@@ -64,10 +65,6 @@ struct DeviceConfig {
 
     // Backend behaviour deviations; all-defaults = faithful P4 semantics.
     dataplane::Quirks quirks;
-
-    // Which executor runs the pipeline stages (semantically identical by
-    // construction; see src/dataplane/engine.h).
-    dataplane::Engine engine = dataplane::default_engine();
 };
 
 // One traced packet: the stimulus as injected plus everything the pipeline
@@ -159,9 +156,8 @@ public:
     // default matches the un-instrumented set_coverage() default above.
     virtual std::uint64_t coverage_salt() const { return 0; }
 
-    // Execution-engine selection, same no-op default contract as
-    // set_coverage(): backends that only have one executor ignore it and
-    // report Engine::interpreter.  On SimDevice the setting survives load().
+    // Kept only for perfbench/src/timed_device.cpp, which overrides both;
+    // every backend runs the interpreter, so these are no-ops.
     virtual void set_engine(dataplane::Engine /*engine*/) {}
     virtual dataplane::Engine engine() const {
         return dataplane::Engine::interpreter;

@@ -47,7 +47,6 @@ Status SimDevice::load(const p4::ir::Program& prog) {
     stateful_ = std::make_unique<dataplane::StatefulSet>(*prog_);
     dataplane::PipelineOptions options;
     options.quirks = config_.quirks;
-    options.engine = config_.engine;
     options.capture_taps = taps_enabled_;
     options.capture_digests = digests_enabled_;
     pipeline_ = std::make_unique<dataplane::Pipeline>(*prog_, *tables_, *stateful_,
@@ -62,13 +61,6 @@ Status SimDevice::load(const p4::ir::Program& prog) {
 void SimDevice::set_coverage(coverage::CoverageMap* map) {
     coverage_ = map;
     if (pipeline_) pipeline_->set_coverage(map, cov_salt_);
-}
-
-void SimDevice::set_engine(dataplane::Engine engine) {
-    // Stored in the config so the choice survives load() (which rebuilds
-    // the pipeline), mirroring the coverage re-apply above.
-    config_.engine = engine;
-    if (pipeline_) pipeline_->set_engine(engine);
 }
 
 void SimDevice::clear_dynamic_state() {

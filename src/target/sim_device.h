@@ -52,8 +52,6 @@ public:
     void set_coverage(coverage::CoverageMap* map) override;
     coverage::CoverageMap* coverage() const override { return coverage_; }
     std::uint64_t coverage_salt() const override { return cov_salt_; }
-    void set_engine(dataplane::Engine engine) override;
-    dataplane::Engine engine() const override { return config_.engine; }
     std::uint64_t now_ns() const override { return clock_ns_; }
 
     // control::RuntimeApi -- resolution.  Handles carry the device's image

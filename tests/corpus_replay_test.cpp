@@ -100,20 +100,7 @@ std::vector<CorpusEntry> load_corpus() {
     return entries;
 }
 
-// Parameterized over the execution engine: every committed corpus entry
-// must replay identically through the tree-walking interpreter and the
-// threaded-code CompiledPipeline.
-class CorpusReplay : public ::testing::TestWithParam<dataplane::Engine> {};
-
-INSTANTIATE_TEST_SUITE_P(Engines, CorpusReplay,
-                         ::testing::Values(dataplane::Engine::interpreter,
-                                           dataplane::Engine::compiled),
-                         [](const auto& info) {
-                             return std::string(
-                                 dataplane::engine_name(info.param));
-                         });
-
-TEST_P(CorpusReplay, EveryKnownDivergenceStillTriggers) {
+TEST(CorpusReplay, EveryKnownDivergenceStillTriggers) {
     const std::vector<CorpusEntry> corpus = load_corpus();
     ASSERT_FALSE(corpus.empty()) << "empty corpus dir: " << NDB_CORPUS_DIR;
 
@@ -127,7 +114,6 @@ TEST_P(CorpusReplay, EveryKnownDivergenceStillTriggers) {
         config.threads = 1;
         config.programs = {entry.program};
         config.duts = {core::BackendSpec{entry.backend, quirks, "dut"}};
-        config.engine = GetParam();
         // "" = fresh-seed replay; the mutate/concolic grammars are mutually
         // unparseable ('#' vs '@' head), so one field carries either.
         config.mutation_recipe =
@@ -142,7 +128,7 @@ TEST_P(CorpusReplay, EveryKnownDivergenceStillTriggers) {
 
         if (!entry.concolic.empty()) {
             // A concolic entry's seed IS its target coverage slot; the
-            // replayed scenario must still light it on this engine.
+            // replayed scenario must still light it.
             EXPECT_EQ(report.scenarios_concolic, 1u);
             EXPECT_GT(map.count(static_cast<std::uint32_t>(entry.seed)), 0u)
                 << "synthesized seed no longer lights its target slot";

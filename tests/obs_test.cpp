@@ -1,6 +1,6 @@
 // Telemetry subsystem: histogram math against a naive reference, the
 // deterministic sharded merge, the observe-only contract (campaign reports
-// byte-identical with telemetry on or off, on both engines), trace JSON
+// byte-identical with telemetry on or off), trace JSON
 // well-formedness, and the fabric delta codec.
 #include <gtest/gtest.h>
 
@@ -109,7 +109,7 @@ TEST(Metrics, ShardedMergeIsDeterministicAcrossThreadCounts) {
         for (std::uint64_t i = lo; i < hi; ++i) {
             obs::count(obs::Counter::packets);
             obs::count(obs::Counter::scenarios, 2);
-            obs::record(obs::Hist::packet_ns_compiled, i * 37 % 4096);
+            obs::record(obs::Hist::packet_ns, i * 37 % 4096);
         }
     };
 
@@ -132,36 +132,30 @@ TEST(Metrics, ShardedMergeIsDeterministicAcrossThreadCounts) {
 
 TEST(Metrics, CampaignReportByteIdenticalWithTelemetryOnOrOff) {
     TelemetryGuard guard;
-    for (const auto engine :
-         {dataplane::Engine::interpreter, dataplane::Engine::compiled}) {
-        for (const int threads : {1, 4}) {
-            core::CampaignConfig cfg;
-            cfg.base_seed = 1;
-            cfg.scenarios = 16;
-            cfg.threads = threads;
-            cfg.engine = engine;
+    for (const int threads : {1, 4}) {
+        core::CampaignConfig cfg;
+        cfg.base_seed = 1;
+        cfg.scenarios = 16;
+        cfg.threads = threads;
 
-            obs::Telemetry::set_enabled(false, false);
-            core::CampaignEngine off(cfg);
-            const std::string plain = off.run().to_json();
+        obs::Telemetry::set_enabled(false, false);
+        core::CampaignEngine off(cfg);
+        const std::string plain = off.run().to_json();
 
-            obs::Telemetry::set_enabled(true, true);
-            obs::Telemetry::reset();
-            core::CampaignEngine on(cfg);
-            const std::string instrumented = on.run().to_json();
+        obs::Telemetry::set_enabled(true, true);
+        obs::Telemetry::reset();
+        core::CampaignEngine on(cfg);
+        const std::string instrumented = on.run().to_json();
 
-            EXPECT_EQ(plain, instrumented)
-                << "engine=" << dataplane::engine_name(engine)
-                << " threads=" << threads;
-            // And the run actually recorded something.
-            const obs::MetricsSnapshot snap = obs::Telemetry::merged_metrics();
-            EXPECT_EQ(
-                snap.counters[static_cast<std::size_t>(obs::Counter::scenarios)],
-                16u);
-            EXPECT_GT(
-                snap.counters[static_cast<std::size_t>(obs::Counter::packets)],
-                0u);
-        }
+        EXPECT_EQ(plain, instrumented) << "threads=" << threads;
+        // And the run actually recorded something.
+        const obs::MetricsSnapshot snap = obs::Telemetry::merged_metrics();
+        EXPECT_EQ(
+            snap.counters[static_cast<std::size_t>(obs::Counter::scenarios)],
+            16u);
+        EXPECT_GT(
+            snap.counters[static_cast<std::size_t>(obs::Counter::packets)],
+            0u);
     }
 }
 

@@ -1,8 +1,7 @@
 // Stateful network functions at production flow counts.
 //
 // Four classic NF shapes (NAT, per-flow firewall, maglev-style load
-// balancer, learning bridge) run under both execution engines, their
-// register/extern state driven through the handle-based runtime API, and
+// balancer, learning bridge) run with their register/extern state driven through the handle-based runtime API, and
 // the state-quirk family (stale_entry, expiry_off_by_one,
 // hash_collision_misdirect) is detected, minimized, fingerprinted and
 // localized by the campaign with the usual determinism contract: one
@@ -47,9 +46,14 @@ core::CampaignConfig fixture_config(std::uint64_t scenarios) {
     return cfg;
 }
 
-// --- engine differential ------------------------------------------------------
+// --- determinism under device reuse -----------------------------------------
 
-TEST(StatefulNf, InterpAndCompiledAgreeOnEveryNfProgram) {
+// Campaign workers reuse one device across every scenario they claim, so
+// load() must leave no register, counter or meter state behind: a device
+// that has already run every other NF scenario replays each one exactly
+// like a fresh device does.
+TEST(StatefulNf, ReusedDeviceReplaysEveryNfScenarioLikeAFreshOne) {
+    auto reused = target::make_device("reference");
     for (const std::string& prog : kNfPrograms) {
         const core::SpecGenerator gen({prog});
         for (std::uint64_t seed = 1; seed <= 12; ++seed) {
@@ -57,19 +61,14 @@ TEST(StatefulNf, InterpAndCompiledAgreeOnEveryNfProgram) {
             const std::vector<packet::Packet> packets =
                 core::scenario_packets(sc);
 
-            auto interp = target::make_device("reference");
-            interp->set_engine(dataplane::Engine::interpreter);
-            auto compiled = target::make_device("reference");
-            compiled->set_engine(dataplane::Engine::compiled);
-
+            auto fresh = target::make_device("reference");
             const core::DeviceRun a =
-                core::run_scenario_on(*interp, sc, packets, 8, nullptr, nullptr);
-            const core::DeviceRun b = core::run_scenario_on(*compiled, sc,
-                                                            packets, 8, nullptr,
-                                                            nullptr);
+                core::run_scenario_on(*fresh, sc, packets, 8, nullptr, nullptr);
+            const core::DeviceRun b =
+                core::run_scenario_on(*reused, sc, packets, 8, nullptr, nullptr);
             const auto div = core::diff_runs(b, a);
             EXPECT_FALSE(div.has_value())
-                << prog << " seed " << seed << ": engines diverge ("
+                << prog << " seed " << seed << ": reused device diverges ("
                 << div->kind << "): " << div->detail;
         }
     }

@@ -16,8 +16,7 @@
 //
 // Layer 2 (program level): every seed the concolic synthesizer produces
 // for a catalogue program must actually light its target coverage slot
-// when the decoded packet+config runs on a real device -- under both
-// execution engines.  Plus the campaign acceptance bar: on the seven-flag
+// when the decoded packet+config runs on a real device.  Plus the campaign acceptance bar: on the seven-flag
 // quirk fixture, a concolic-assisted guided campaign lights coverage
 // slots that stay dark under pure greybox at the same scenario budget,
 // and every injected `concolic=` recipe replays deterministically to
@@ -355,17 +354,7 @@ TEST(SymExecBudget, PathsExhaustedIsSurfaced) {
     EXPECT_TRUE(result.paths_exhausted);
 }
 
-// --- layer 2: concolic end-to-end under both engines --------------------------
-
-class ConcolicEndToEnd : public ::testing::TestWithParam<dataplane::Engine> {};
-
-INSTANTIATE_TEST_SUITE_P(Engines, ConcolicEndToEnd,
-                         ::testing::Values(dataplane::Engine::interpreter,
-                                           dataplane::Engine::compiled),
-                         [](const auto& info) {
-                             return std::string(
-                                 dataplane::engine_name(info.param));
-                         });
+// --- layer 2: concolic end-to-end --------------------------------------------
 
 // Builds the replayable recipe for one synthesized seed, exactly as the
 // campaign's round-barrier synthesis does.
@@ -386,7 +375,7 @@ core::ConcolicRecipe recipe_for(const std::string& program,
     return recipe;
 }
 
-TEST_P(ConcolicEndToEnd, EverySynthesizedSeedLightsItsTargetSlot) {
+TEST(ConcolicEndToEnd, EverySynthesizedSeedLightsItsTargetSlot) {
     const core::SpecGenerator gen;
     const core::Mutator mutator(gen);
     std::size_t seeds_total = 0;
@@ -417,7 +406,6 @@ TEST_P(ConcolicEndToEnd, EverySynthesizedSeedLightsItsTargetSlot) {
             const core::Scenario sc = mutator.apply_concolic(*reparsed);
             coverage::CoverageMap map;
             auto dev = target::make_device("reference");
-            dev->set_engine(GetParam());
             dev->set_coverage(&map);
             ASSERT_TRUE(dev->load(*sc.compiled));
             for (const auto& op : sc.config) core::apply_config_op(*dev, op);
@@ -439,24 +427,13 @@ TEST_P(ConcolicEndToEnd, EverySynthesizedSeedLightsItsTargetSlot) {
 
 // --- layer 2: campaign acceptance on the seven-flag fixture -------------------
 
-class ConcolicCampaign : public ::testing::TestWithParam<dataplane::Engine> {};
-
-INSTANTIATE_TEST_SUITE_P(Engines, ConcolicCampaign,
-                         ::testing::Values(dataplane::Engine::interpreter,
-                                           dataplane::Engine::compiled),
-                         [](const auto& info) {
-                             return std::string(
-                                 dataplane::engine_name(info.param));
-                         });
-
-TEST_P(ConcolicCampaign, LightsEdgesDarkUnderPureGreyboxAtEqualBudget) {
+TEST(ConcolicCampaign, LightsEdgesDarkUnderPureGreyboxAtEqualBudget) {
     const ndb_test::FlagFixture fx = ndb_test::seven_flag_fixture();
     constexpr std::uint64_t kBudget = 48;
 
     const auto run = [&](bool concolic, coverage::CoverageMap* map_out) {
         core::CampaignConfig config;
         ndb_test::apply_fixture(fx, config);
-        config.engine = GetParam();
         config.scenarios = kBudget;
         config.threads = 2;
         config.mutate = true;
@@ -496,7 +473,6 @@ TEST_P(ConcolicCampaign, LightsEdgesDarkUnderPureGreyboxAtEqualBudget) {
         SCOPED_TRACE(text);
         core::CampaignConfig config;
         ndb_test::apply_fixture(fx, config);
-        config.engine = GetParam();
         config.mutation_recipe = text;
         config.coverage = true;
         coverage::CoverageMap replay_map;

@@ -8,21 +8,19 @@
 //
 //   * pipeline  -- packets/sec through the reference device for every
 //                  fuzzable catalogue program (config applied once, the
-//                  scenario's packet stream replayed in batches), run once
-//                  per execution engine (threaded-code compiled vs the
-//                  tree-walking interpreter oracle, with the per-program
-//                  compiled_speedup ratio), plus a coverage-instrumented
-//                  compiled pass and the derived coverage-overhead row
-//                  (the cost of the CoverageMap hooks when enabled);
+//                  scenario's packet stream replayed in batches), plus a
+//                  coverage-instrumented pass and the derived
+//                  coverage-overhead row (the cost of the CoverageMap hooks
+//                  when enabled);
 //   * tables    -- lookups/sec per match-engine kind on populated engines
 //                  (1k-entry exact, 1k-prefix LPM, 256-row ternary);
 //   * campaign  -- scenarios/sec and packets/sec of a bounded differential
 //                  campaign sweep (the end-to-end number CI tracks).
 //
 // --baseline FILE compares the run against committed reference numbers and
-// exits non-zero when pipeline packets/sec (either engine) regresses by
-// more than 30%, so CI catches hot-path regressions without flaking on
-// machine variance.
+// exits non-zero when pipeline packets/sec regresses by more than 30% or a
+// per-program floor is missed, so CI catches hot-path regressions without
+// flaking on machine variance.
 // --coverage-gate PCT additionally fails the run when the enabled-coverage
 // pass costs more than PCT percent of aggregate pipeline throughput.
 // --metrics-gate PCT does the same for the telemetry layer: a fourth
@@ -42,7 +40,6 @@
 #include "core/generator.h"
 #include "core/specgen.h"
 #include "coverage/coverage.h"
-#include "dataplane/engine.h"
 #include "dataplane/tables.h"
 #include "obs/telemetry.h"
 #include "target/device.h"
@@ -66,12 +63,8 @@ struct ProgramBench {
     double pps = 0;
 };
 
-// Per-program engine comparison: the compiled number is the headline, the
-// interpreter number is the oracle's cost, the ratio is the payoff.
 struct ProgramRow {
-    ProgramBench compiled;
-    ProgramBench interp;
-    double speedup = 0;
+    ProgramBench plain;
     // Sampled whole-packet latency percentiles from the telemetry pass.
     std::uint64_t p50_ns = 0;
     std::uint64_t p90_ns = 0;
@@ -83,7 +76,6 @@ struct ProgramRow {
 // When `coverage` is non-null the device streams execution edges into it
 // (the instrumented pass the coverage-overhead row is derived from).
 ProgramBench bench_program(const std::string& name, std::uint64_t target_packets,
-                           ndb::dataplane::Engine engine,
                            ndb::coverage::CoverageMap* coverage = nullptr) {
     ndb::core::SpecGenerator gen({name});
     const ndb::core::Scenario sc = gen.make(/*seed=*/42);
@@ -93,7 +85,6 @@ ProgramBench bench_program(const std::string& name, std::uint64_t target_packets
         std::fprintf(stderr, "bench: cannot set up program '%s'\n", name.c_str());
         std::exit(1);
     }
-    dev->set_engine(engine);
     dev->set_coverage(coverage);
     dev->apply(sc.config);
 
@@ -343,35 +334,21 @@ int main(int argc, char** argv) {
     std::vector<ProgramRow> programs;
     std::uint64_t total_packets = 0;
     double total_seconds = 0;
-    std::uint64_t interp_packets = 0;
-    double interp_seconds = 0;
     std::uint64_t cov_packets = 0;
     double cov_seconds = 0;
     std::uint64_t tel_packets = 0;
     double tel_seconds = 0;
     for (const auto& name : ndb::core::SpecGenerator::default_programs()) {
-        // Interleave the four passes per program (compiled, interpreter,
-        // compiled+coverage, compiled+telemetry) so runner noise lands on
-        // all sums at once.
+        // Interleave the three passes per program (plain, coverage,
+        // telemetry) so runner noise lands on all sums at once.
         ProgramRow row;
-        row.compiled =
-            bench_program(name, packets, ndb::dataplane::Engine::compiled);
-        // The interpreter is ~an order of magnitude slower; a smaller target
-        // keeps wall time sane while its pps stays a valid rate.
-        row.interp = bench_program(name, packets / 8 + 1,
-                                   ndb::dataplane::Engine::interpreter);
-        row.speedup =
-            row.interp.pps > 0 ? row.compiled.pps / row.interp.pps : 0;
-        std::printf("pipeline  %-16s %9.0f pkts/sec compiled, %9.0f interp "
-                    "(x%.1f)\n",
-                    name.c_str(), row.compiled.pps, row.interp.pps, row.speedup);
-        total_packets += row.compiled.packets;
-        total_seconds += row.compiled.seconds;
-        interp_packets += row.interp.packets;
-        interp_seconds += row.interp.seconds;
+        row.plain = bench_program(name, packets);
+        std::printf("pipeline  %-16s %9.0f pkts/sec\n", name.c_str(),
+                    row.plain.pps);
+        total_packets += row.plain.packets;
+        total_seconds += row.plain.seconds;
 
-        const ProgramBench cov = bench_program(
-            name, packets, ndb::dataplane::Engine::compiled, &coverage_map);
+        const ProgramBench cov = bench_program(name, packets, &coverage_map);
         cov_packets += cov.packets;
         cov_seconds += cov.seconds;
 
@@ -380,15 +357,14 @@ int main(int argc, char** argv) {
         // covers exactly this program's packets.
         ndb::obs::Telemetry::set_enabled(true, true);
         ndb::obs::Telemetry::reset();
-        const ProgramBench tel =
-            bench_program(name, packets, ndb::dataplane::Engine::compiled);
+        const ProgramBench tel = bench_program(name, packets);
         const ndb::obs::MetricsSnapshot snap =
             ndb::obs::Metrics::instance().snapshot();
         ndb::obs::Telemetry::set_enabled(false, false);
         tel_packets += tel.packets;
         tel_seconds += tel.seconds;
         const ndb::obs::HistogramData& lat = snap.hists[static_cast<std::size_t>(
-            ndb::obs::Hist::packet_ns_compiled)];
+            ndb::obs::Hist::packet_ns)];
         row.p50_ns = lat.percentile(50.0);
         row.p90_ns = lat.percentile(90.0);
         row.p99_ns = lat.percentile(99.0);
@@ -401,14 +377,8 @@ int main(int argc, char** argv) {
     }
     const double pipeline_pps =
         total_seconds > 0 ? static_cast<double>(total_packets) / total_seconds : 0;
-    const double pipeline_pps_interp =
-        interp_seconds > 0 ? static_cast<double>(interp_packets) / interp_seconds
-                           : 0;
-    const double compiled_speedup =
-        pipeline_pps_interp > 0 ? pipeline_pps / pipeline_pps_interp : 0;
-    std::printf("pipeline  %-16s %9.0f pkts/sec compiled, %9.0f interp (x%.1f)\n",
-                "(aggregate)", pipeline_pps, pipeline_pps_interp,
-                compiled_speedup);
+    std::printf("pipeline  %-16s %9.0f pkts/sec\n", "(aggregate)",
+                pipeline_pps);
 
     const double coverage_pps =
         cov_seconds > 0 ? static_cast<double>(cov_packets) / cov_seconds : 0;
@@ -448,8 +418,6 @@ int main(int argc, char** argv) {
     std::string json = "{\n";
     json += "  \"bench\": \"pipeline\",\n";
     json += format("  \"pipeline_pps\": %.1f,\n", pipeline_pps);
-    json += format("  \"pipeline_pps_interp\": %.1f,\n", pipeline_pps_interp);
-    json += format("  \"compiled_speedup\": %.2f,\n", compiled_speedup);
     json += format("  \"pipeline_coverage_pps\": %.1f,\n", coverage_pps);
     json += format("  \"coverage_overhead_pct\": %.2f,\n", coverage_overhead_pct);
     json += format("  \"coverage_edges\": %zu,\n", coverage_map.edges_covered());
@@ -462,13 +430,11 @@ int main(int argc, char** argv) {
         json += i ? ",\n    " : "\n    ";
         json += format("{\"name\": \"%s\", \"packets\": %llu, "
                        "\"seconds\": %.6f, \"pps\": %.1f, "
-                       "\"pps_interp\": %.1f, \"compiled_speedup\": %.2f, "
                        "\"latency_p50_ns\": %llu, \"latency_p90_ns\": %llu, "
                        "\"latency_p99_ns\": %llu}",
-                       row.compiled.name.c_str(),
-                       static_cast<unsigned long long>(row.compiled.packets),
-                       row.compiled.seconds, row.compiled.pps, row.interp.pps,
-                       row.speedup,
+                       row.plain.name.c_str(),
+                       static_cast<unsigned long long>(row.plain.packets),
+                       row.plain.seconds, row.plain.pps,
                        static_cast<unsigned long long>(row.p50_ns),
                        static_cast<unsigned long long>(row.p90_ns),
                        static_cast<unsigned long long>(row.p99_ns));
@@ -532,55 +498,22 @@ int main(int argc, char** argv) {
                          pipeline_pps, floor);
             return 1;
         }
-        // Gate the oracle too when the baseline carries its floor: the
-        // interpreter stays the semantic reference and must not quietly rot.
-        double base_interp = 0;
-        if (json_number(doc, "pipeline_pps_interp", base_interp) &&
-            base_interp > 0) {
-            const double interp_floor = base_interp * 0.7;
-            std::printf("baseline gate: pipeline_pps_interp %.0f vs committed "
-                        "%.0f (floor %.0f)\n",
-                        pipeline_pps_interp, base_interp, interp_floor);
-            if (pipeline_pps_interp < interp_floor) {
-                std::fprintf(stderr,
-                             "FAIL: interpreter packets/sec regressed more "
-                             "than 30%% (%.0f < %.0f)\n",
-                             pipeline_pps_interp, interp_floor);
-                return 1;
-            }
-        }
-        // Per-program absolute floors (both engines).  The baseline carries
-        // a floor_<program>_pps[_interp] key for programs whose throughput
+        // Per-program absolute floors.  The baseline carries a
+        // floor_<program>_pps key for programs whose throughput
         // CI tracks individually -- the stateful NFs, whose register traffic
         // makes them the slowest rows in the sweep.
         for (const auto& row : programs) {
             double prog_floor = 0;
-            if (json_number(doc, "floor_" + row.compiled.name + "_pps",
+            if (json_number(doc, "floor_" + row.plain.name + "_pps",
                             prog_floor) &&
                 prog_floor > 0) {
                 std::printf("baseline gate: %s %.0f pkts/sec vs floor %.0f\n",
-                            row.compiled.name.c_str(), row.compiled.pps,
-                            prog_floor);
-                if (row.compiled.pps < prog_floor) {
+                            row.plain.name.c_str(), row.plain.pps, prog_floor);
+                if (row.plain.pps < prog_floor) {
                     std::fprintf(stderr,
-                                 "FAIL: %s compiled packets/sec below floor "
+                                 "FAIL: %s packets/sec below floor "
                                  "(%.0f < %.0f)\n",
-                                 row.compiled.name.c_str(), row.compiled.pps,
-                                 prog_floor);
-                    return 1;
-                }
-            }
-            if (json_number(doc, "floor_" + row.compiled.name + "_pps_interp",
-                            prog_floor) &&
-                prog_floor > 0) {
-                std::printf(
-                    "baseline gate: %s %.0f interp pkts/sec vs floor %.0f\n",
-                    row.compiled.name.c_str(), row.interp.pps, prog_floor);
-                if (row.interp.pps < prog_floor) {
-                    std::fprintf(stderr,
-                                 "FAIL: %s interpreter packets/sec below floor "
-                                 "(%.0f < %.0f)\n",
-                                 row.compiled.name.c_str(), row.interp.pps,
+                                 row.plain.name.c_str(), row.plain.pps,
                                  prog_floor);
                     return 1;
                 }
